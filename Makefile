@@ -115,9 +115,11 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzAckRetransmit -fuzztime 30s ./internal/nettcp
 	$(GO) run ./cmd/benchjson -chaos -n 10 -out BENCH_pr10.json
 
-# Wire-decoder fuzzing (v1-v4 + handshake frames), same budget as CI.
+# Wire-decoder fuzzing (v1-v4 + handshake frames) and the key-search
+# sieve, same budgets as CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSieve -fuzztime 15s ./internal/auth
 
 # Format/vet gate over examples/ plus the documented quickstart as a
 # smoke test, so the entry point can't silently rot.

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"sort"
 	"sync"
@@ -198,7 +197,7 @@ type Directory struct {
 	levels map[string]int64
 	keys   map[string]*rsa.PrivateKey
 	bits   int
-	rng    io.Reader
+	det    *detStream // nil: keys come from crypto/rand
 }
 
 // NewDirectory creates an empty directory generating DefaultRSABits keys
@@ -208,7 +207,6 @@ func NewDirectory() *Directory {
 		levels: make(map[string]int64),
 		keys:   make(map[string]*rsa.PrivateKey),
 		bits:   DefaultRSABits,
-		rng:    rand.Reader,
 	}
 }
 
@@ -218,7 +216,7 @@ func NewDirectory() *Directory {
 // between runs, exactly like reusing a test keystore.
 func NewDeterministicDirectory(seed int64) *Directory {
 	d := NewDirectory()
-	d.rng = newDetReader(seed)
+	d.det = newDetStream(seed)
 	return d
 }
 
@@ -233,42 +231,56 @@ func (d *Directory) SetKeyBits(bits int) {
 // AddPrincipal registers a principal with a security level, generating its
 // key pair. Re-adding an existing principal only updates its level.
 func (d *Directory) AddPrincipal(name string, level int64) error {
+	return d.AddPrincipals([]Principal{{Name: name, Level: level}})
+}
+
+// AddPrincipals registers principals in order, as AddPrincipal does. A
+// deterministic directory draws the whole batch's primes from one
+// parallel scan of its stream; the keys are those of adding the
+// principals one at a time.
+func (d *Directory) AddPrincipals(ps []Principal) error {
+	// The lock serializes use of the key stream; scan workers never
+	// take it.
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.levels[name] = level
-	if _, ok := d.keys[name]; ok {
-		return nil
+	primes := &primeScan{stream: d.det}
+	defer primes.stop()
+	for _, p := range ps {
+		d.levels[p.Name] = p.Level
+		if _, ok := d.keys[p.Name]; ok {
+			continue
+		}
+		var key *rsa.PrivateKey
+		var err error
+		if d.det != nil {
+			// rsa.GenerateKey deliberately de-randomizes its reader
+			// (randutil.MaybeReadByte), so reproducible keys must be
+			// derived from primes directly.
+			key, err = generateKeyFromPrimes(primes.prime, d.bits)
+		} else {
+			key, err = rsa.GenerateKey(rand.Reader, d.bits)
+		}
+		if err != nil {
+			return fmt.Errorf("auth: generating key for %q: %w", p.Name, err)
+		}
+		d.keys[p.Name] = key
 	}
-	var key *rsa.PrivateKey
-	var err error
-	if _, det := d.rng.(*detReader); det {
-		// rsa.GenerateKey deliberately de-randomizes its reader
-		// (randutil.MaybeReadByte), so reproducible keys must be derived
-		// from primes directly.
-		key, err = generateKeyFromPrimes(d.rng, d.bits)
-	} else {
-		key, err = rsa.GenerateKey(d.rng, d.bits)
-	}
-	if err != nil {
-		return fmt.Errorf("auth: generating key for %q: %w", name, err)
-	}
-	d.keys[name] = key
 	return nil
 }
 
-// generateKeyFromPrimes builds an RSA key pair from primes drawn
-// deterministically from rng, bypassing rsa.GenerateKey's intentional
-// nondeterminism (randutil.MaybeReadByte, which crypto/rand.Prime also
-// applies). Used only for reproducible experiment keystores.
-func generateKeyFromPrimes(rng io.Reader, bits int) (*rsa.PrivateKey, error) {
+// generateKeyFromPrimes builds an RSA key pair from primes drawn in order
+// from prime, bypassing rsa.GenerateKey's intentional nondeterminism
+// (randutil.MaybeReadByte, which crypto/rand.Prime also applies). Used
+// only for reproducible experiment keystores.
+func generateKeyFromPrimes(prime func(bits int) (*big.Int, error), bits int) (*rsa.PrivateKey, error) {
 	e := big.NewInt(65537)
 	one := big.NewInt(1)
 	for {
-		p, err := detPrime(rng, bits/2)
+		p, err := prime(bits / 2)
 		if err != nil {
 			return nil, err
 		}
-		q, err := detPrime(rng, bits-bits/2)
+		q, err := prime(bits - bits/2)
 		if err != nil {
 			return nil, err
 		}
@@ -294,34 +306,6 @@ func generateKeyFromPrimes(rng io.Reader, bits int) (*rsa.PrivateKey, error) {
 			continue
 		}
 		return key, nil
-	}
-}
-
-// detPrime draws candidate integers from rng until one passes 20
-// Miller–Rabin rounds. Unlike crypto/rand.Prime it consumes a strictly
-// deterministic number of bytes per candidate, so the same rng stream
-// always yields the same prime.
-func detPrime(rng io.Reader, bits int) (*big.Int, error) {
-	if bits < 16 {
-		return nil, errors.New("auth: prime size too small")
-	}
-	bytes := make([]byte, (bits+7)/8)
-	b := uint(bits % 8)
-	if b == 0 {
-		b = 8
-	}
-	p := new(big.Int)
-	for {
-		if _, err := io.ReadFull(rng, bytes); err != nil {
-			return nil, err
-		}
-		bytes[0] &= uint8(int(1<<b) - 1)
-		bytes[0] |= 3 << (b - 2) // top two bits so p*q has full length
-		bytes[len(bytes)-1] |= 1 // odd
-		p.SetBytes(bytes)
-		if p.ProbablyPrime(20) {
-			return new(big.Int).Set(p), nil
-		}
 	}
 }
 
@@ -372,39 +356,4 @@ func (d *Directory) publicKey(name string) *rsa.PublicKey {
 		return &k.PublicKey
 	}
 	return nil
-}
-
-// --- deterministic randomness for reproducible experiments ---
-
-// detReader is a SHA-256-based deterministic byte stream. It is not a CSPRNG
-// for production use; it exists so experiment key generation is reproducible.
-type detReader struct {
-	mu      sync.Mutex
-	state   [32]byte
-	buf     []byte
-	counter uint64
-}
-
-func newDetReader(seed int64) *detReader {
-	r := &detReader{}
-	r.state = sha256.Sum256([]byte(fmt.Sprintf("provnet-det-seed-%d", seed)))
-	return r
-}
-
-func (r *detReader) Read(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.buf) < len(p) {
-		var block [40]byte
-		copy(block[:32], r.state[:])
-		for i := 0; i < 8; i++ {
-			block[32+i] = byte(r.counter >> (8 * i))
-		}
-		r.counter++
-		sum := sha256.Sum256(block[:])
-		r.buf = append(r.buf, sum[:]...)
-	}
-	n := copy(p, r.buf)
-	r.buf = r.buf[n:]
-	return n, nil
 }

@@ -161,18 +161,18 @@ func TestDeterministicDirectoryReproducible(t *testing.T) {
 }
 
 func TestDetReaderStream(t *testing.T) {
-	r := newDetReader(1)
+	s := newDetStream(1)
 	a := make([]byte, 100)
-	if n, err := r.Read(a); n != 100 || err != nil {
-		t.Fatalf("read: %d, %v", n, err)
-	}
-	r2 := newDetReader(1)
+	s.fill(a, 0)
 	b1 := make([]byte, 40)
 	b2 := make([]byte, 60)
-	r2.Read(b1)
-	r2.Read(b2)
+	s.fill(b1, 0)
+	s.fill(b2, 40)
 	if !bytes.Equal(a, append(append([]byte{}, b1...), b2...)) {
 		t.Error("stream must be independent of read chunking")
+	}
+	if bytes.Equal(a[:32], a[32:64]) {
+		t.Error("stream blocks must differ")
 	}
 }
 

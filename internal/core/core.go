@@ -376,19 +376,29 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.allNodes = append([]string(nil), names...)
 	sort.Strings(n.allNodes)
 
-	for _, name := range names {
+	principals := make([]auth.Principal, len(names))
+	for i, name := range names {
 		level := int64(1)
 		if l, ok := cfg.Levels[name]; ok {
 			level = l
 		}
-		if err := n.dir.AddPrincipal(name, level); err != nil {
+		principals[i] = auth.Principal{Name: name, Level: level}
+	}
+	if cfg.Auth == auth.SchemeRSA || cfg.SessionAuth {
+		if err := n.dir.AddPrincipals(principals); err != nil {
 			return nil, err
+		}
+	} else {
+		// No scheme signs with keys: register levels only.
+		for _, p := range principals {
+			n.dir.SetLevel(p.Name, p.Level)
 		}
 	}
 
 	// Multi-process deployments instantiate engines only for the nodes
-	// this process hosts; every process still derives the full principal
-	// directory above, so cross-process signatures and handshakes verify.
+	// this process hosts; under RSA and session schemes every process
+	// still derives every principal's key above, so cross-process
+	// signatures and handshakes verify.
 	var local map[string]bool
 	if len(cfg.LocalNodes) > 0 {
 		local = make(map[string]bool, len(cfg.LocalNodes))
@@ -1576,9 +1586,6 @@ func (n *Network) Nodes() []string {
 	copy(out, n.order)
 	return out
 }
-
-// Directory exposes the principal directory.
-func (n *Network) Directory() *auth.Directory { return n.dir }
 
 // Tuples returns the live tuples of a predicate at a node.
 func (n *Network) Tuples(node, pred string) []data.Tuple {

@@ -67,6 +67,7 @@ func DefaultConfig() *Config {
 			m + "/internal/engine",
 			m + "/internal/data",
 			m + "/internal/core", // round functions; metrics/driver timing sites are annotated
+			m + "/internal/auth", // deterministic key bytes feed every RSA pin
 		},
 		DataPkg: m + "/internal/data",
 		KeyStringFuncs: map[string][]string{
