@@ -81,7 +81,7 @@ api-smoke:
 	$(GO) build -o /tmp/provnet-smoke ./cmd/provnet
 	@rm -rf /tmp/provnet-smoke-store; \
 	/tmp/provnet-smoke -program cmd/provnet/testdata/reachable.ndl \
-		-topo line:3 -nocost -prov distributed -sequential \
+		-topo line:3 -nocost -prov distributed -workers 1 \
 		-metrics -store /tmp/provnet-smoke-store \
 		-http 127.0.0.1:18080 > /tmp/provnet-smoke.log 2>&1 & \
 	pid=$$!; \
@@ -115,11 +115,12 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzAckRetransmit -fuzztime 30s ./internal/nettcp
 	$(GO) run ./cmd/benchjson -chaos -n 10 -out BENCH_pr10.json
 
-# Wire-decoder fuzzing (v1-v4 + handshake frames) and the key-search
-# sieve, same budgets as CI.
+# Wire-decoder fuzzing (v1-v4 + handshake frames), the key-search
+# sieve, and the NDlog parser front end, same budgets as CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSieve -fuzztime 15s ./internal/auth
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/datalog
 
 # Format/vet gate over examples/ plus the documented quickstart as a
 # smoke test, so the entry point can't silently rot.

@@ -98,19 +98,20 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRounds measures the worker-pool round scheduler
-// against the sequential baseline on the signature-heavy SeNDlogProv
-// configuration, where per-round RSA signing and verification dominate
-// and parallelizing across nodes pays off. Both schedules produce
-// identical tables, rounds, and transport stats (see
+// BenchmarkParallelRounds measures the default worker-pool round
+// scheduler (GOMAXPROCS workers) against workers=1, the sequential
+// schedule, on the signature-heavy SeNDlogProv configuration, where
+// per-round RSA signing and verification dominate and parallelizing
+// across nodes pays off. Both schedules produce identical tables,
+// rounds, and transport stats (see
 // internal/core.TestParallelMatchesSequential); only wall-clock differs.
 func BenchmarkParallelRounds(b *testing.B) {
 	schedules := []struct {
-		name       string
-		sequential bool
+		name    string
+		workers int
 	}{
-		{"sequential", true},
-		{"parallel", false},
+		{"workers=1", 1},
+		{"default", 0},
 	}
 	for _, s := range schedules {
 		for _, n := range []int{10, 20} {
@@ -119,7 +120,7 @@ func BenchmarkParallelRounds(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.BestPath)
-					cfg.Sequential = s.sequential
+					cfg.Workers = s.workers
 					net := buildNet(b, cfg, n, int64(n*100+i))
 					b.StartTimer()
 					rep, err := net.Run(0)
@@ -175,11 +176,10 @@ func BenchmarkFig4Batching(b *testing.B) {
 // initial convergence + route-refresh cycles re-converging over the
 // established sessions; see internal/benchwork): per-tuple RSA (the
 // paper's scheme), per-batch RSA (PR 1's amortization), and the session
-// transport (one RSA handshake per link, HMAC per envelope) with and
-// without pipelined crypto. Read signatures/op — the session stack pays
-// RSA only at handshake time, so over the link lifetime it does ≥10×
-// fewer signature operations than even per-batch RSA — plus macs/op and
-// wire_MB/op.
+// transport (one RSA handshake per link, HMAC per envelope). Read
+// signatures/op — the session stack pays RSA only at handshake time, so
+// over the link lifetime it does ≥10× fewer signature operations than
+// even per-batch RSA — plus macs/op and wire_MB/op.
 func BenchmarkSessionAuth(b *testing.B) {
 	for _, m := range benchwork.Modes() {
 		b.Run(m.Name, func(b *testing.B) {

@@ -149,8 +149,8 @@ func main() {
 	// The recorded matrix IS the transport dimension: knobs that would
 	// change it silently must be rejected, not ignored (the artifact is
 	// compared across PRs).
-	if shared.Auth != "none" || shared.Session || shared.Unbatched || shared.Pipelined || shared.Churn > 0 || shared.Rekey != 0 {
-		fatal("benchjson fixes the transport matrix; -auth/-session/-unbatched/-pipelined/-churn/-rekey are not applicable")
+	if shared.Auth != "none" || shared.Session || shared.Unbatched || shared.Churn > 0 || shared.Rekey != 0 {
+		fatal("benchjson fixes the transport matrix; -auth/-session/-unbatched/-churn/-rekey are not applicable")
 	}
 
 	if *chaos {
@@ -189,7 +189,6 @@ func main() {
 		r.Mode = m.Name
 		for i := 0; i < *runs; i++ {
 			cfg := provnet.VariantConfig(provnet.VariantSeNDlog, provnet.BestPath)
-			cfg.Sequential = shared.Sequential
 			cfg.Workers = shared.Workers
 			cfg.EngineShards = shared.EngineShards
 			m.Mut(&cfg)
@@ -237,7 +236,6 @@ func recordShard(out string, nodes, runs int, shared *cliflags.Flags) {
 		agg.EngineShards = shards
 		for i := 0; i < runs; i++ {
 			cfg := provnet.Config{
-				Sequential:   shared.Sequential,
 				Workers:      shared.Workers,
 				EngineShards: shards,
 			}
@@ -269,7 +267,6 @@ func recordQueryLoad(out string, nodes, workers, minQueries int, shared *cliflag
 	cfg := provnet.Config{
 		Source:       provnet.BestPath,
 		Prov:         provnet.ProvDistributed,
-		Sequential:   shared.Sequential,
 		Workers:      shared.Workers,
 		EngineShards: shared.EngineShards,
 	}
@@ -322,7 +319,6 @@ func recordChaos(out string, nodes int, shared *cliflags.Flags) {
 	for _, term := range []string{"credit", "idle"} {
 		for s := int64(0); s < 3; s++ {
 			cfg := provnet.Config{
-				Sequential:   shared.Sequential,
 				Workers:      shared.Workers,
 				EngineShards: shared.EngineShards,
 			}
@@ -370,7 +366,6 @@ func recordLive(out string, nodes, runs int, shared *cliflags.Flags) {
 		agg.Mode = m.Name
 		for i := 0; i < runs; i++ {
 			cfg := provnet.VariantConfig(provnet.VariantSeNDlog, provnet.BestPath)
-			cfg.Sequential = shared.Sequential
 			cfg.Workers = shared.Workers
 			cfg.EngineShards = shared.EngineShards
 			m.Mut(&cfg)

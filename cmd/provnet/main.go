@@ -10,9 +10,9 @@
 // star:N, or none (the program's own facts place the nodes). With
 // -churn N, the converged network cuts N random links through the live
 // driver and re-converges incrementally before printing tables; the
-// scheduler/transport knobs (-auth, -session, -sequential, -unbatched,
-// -workers, -rekey, -pipelined, -engineshards) are shared with the
-// other commands via internal/cliflags. -engineshards k shards each
+// scheduler/transport knobs (-auth, -session, -unbatched, -workers,
+// -rekey, -engineshards) are shared with the other commands via
+// internal/cliflags; -workers 1 runs nodes one after another. -engineshards k shards each
 // node's delta queue across k intra-node eval workers; results are
 // bit-identical to serial evaluation at any setting.
 //

@@ -107,7 +107,7 @@ func TestHTTPTracebackGolden(t *testing.T) {
 	args := []string{
 		"-program", filepath.Join("testdata", "reachable.ndl"),
 		"-topo", "line:3", "-nocost", "-prov", "distributed",
-		"-sequential", "-http", "127.0.0.1:0",
+		"-workers", "1", "-http", "127.0.0.1:0",
 	}
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, argSep))
 	stdout, err := cmd.StdoutPipe()
@@ -165,7 +165,7 @@ func TestStoreFlagPersists(t *testing.T) {
 	out, err := runProvnet(ctx,
 		"-program", filepath.Join("testdata", "reachable.ndl"),
 		"-topo", "line:3", "-nocost", "-prov", "distributed",
-		"-sequential", "-store", dir)
+		"-workers", "1", "-store", dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@
 // scripts can consume either source interchangeably.
 //
 // The scheduler, transport-security, and churn knobs are shared with the
-// other commands via internal/cliflags: -auth, -keybits, -sequential,
-// -unbatched, -workers, -session, -rekey, -pipelined, -engineshards,
-// -churn, -churnseed.
+// other commands via internal/cliflags: -auth, -keybits, -unbatched,
+// -workers (1 = the sequential schedule), -session, -rekey,
+// -engineshards, -churn, -churnseed.
 // With -churn N the traceback runs against the re-converged network, so
 // withdrawn tuples show up as stale provenance history.
 package main

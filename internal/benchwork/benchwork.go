@@ -34,13 +34,12 @@ type Mode struct {
 }
 
 // Modes returns the matrix: the paper's per-tuple RSA, PR 1's per-batch
-// RSA, and the session transport with and without pipelined crypto.
+// RSA, and the session transport.
 func Modes() []Mode {
 	return []Mode{
 		{"rsa-per-tuple", func(c *provnet.Config) { c.Unbatched = true }},
 		{"rsa-per-batch", func(c *provnet.Config) {}},
 		{"session-mac", func(c *provnet.Config) { c.SessionAuth = true }},
-		{"session-mac-pipelined", func(c *provnet.Config) { c.SessionAuth = true; c.PipelinedCrypto = true }},
 	}
 }
 

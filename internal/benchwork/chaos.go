@@ -68,7 +68,7 @@ type ChaosResult struct {
 }
 
 // ChaosTermination runs one chaos cell. cfg carries the scheduler knobs
-// (Sequential, Workers, EngineShards); topology, auth, transport, and
+// (Workers, EngineShards); topology, auth, transport, and
 // termination come from spec. fatal is testing.T.Fatal / benchjson
 // compatible.
 func ChaosTermination(fatal func(...any), cfg provnet.Config, spec ChaosSpec) ChaosResult {

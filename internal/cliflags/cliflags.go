@@ -35,10 +35,8 @@ type Flags struct {
 	Rekey   int
 
 	// Scheduler.
-	Sequential   bool
 	Unbatched    bool
 	Workers      int
-	Pipelined    bool
 	EngineShards int
 
 	// Live churn scenario: cut Churn random links (seeded by ChurnSeed)
@@ -93,10 +91,8 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.KeyBits, "keybits", 1024, "RSA modulus size")
 	fs.BoolVar(&f.Session, "session", false, "session transport: one RSA handshake per link, then HMAC session MACs (wire v3)")
 	fs.IntVar(&f.Rekey, "rekey", 0, "rotate session keys every N rounds (0 = never; needs -session)")
-	fs.BoolVar(&f.Sequential, "sequential", false, "run nodes sequentially within each round (A/B baseline)")
 	fs.BoolVar(&f.Unbatched, "unbatched", false, "ship one signed envelope per tuple instead of per-round batches")
-	fs.IntVar(&f.Workers, "workers", 0, "scheduler worker goroutines per phase (0 = GOMAXPROCS)")
-	fs.BoolVar(&f.Pipelined, "pipelined", false, "seal/verify on a crypto stage overlapping rule evaluation")
+	fs.IntVar(&f.Workers, "workers", 0, "scheduler worker goroutines per phase (0 = GOMAXPROCS; 1 = nodes one after another)")
 	fs.IntVar(&f.EngineShards, "engineshards", 0, "shard each node's delta queue across N intra-node eval workers (0/1 = serial; results identical)")
 	fs.IntVar(&f.Churn, "churn", 0, "after convergence, cut this many random links and re-converge incrementally")
 	fs.Int64Var(&f.ChurnSeed, "churnseed", 1, "rng seed for -churn link selection")
@@ -410,10 +406,8 @@ func (f *Flags) Apply(cfg *provnet.Config) error {
 	cfg.KeyBits = f.KeyBits
 	cfg.SessionAuth = f.Session
 	cfg.RekeyRounds = f.Rekey
-	cfg.Sequential = f.Sequential
 	cfg.Unbatched = f.Unbatched
 	cfg.Workers = f.Workers
-	cfg.PipelinedCrypto = f.Pipelined
 	cfg.EngineShards = f.EngineShards
 	if f.Metrics {
 		cfg.Metrics = provnet.NewMetrics()

@@ -94,13 +94,12 @@ type Config struct {
 	// Seed drives deterministic key generation.
 	Seed int64
 
-	// Sequential disables the parallel round scheduler and runs nodes one
-	// after another within each round, as the seed implementation did.
-	// Results (tables, rounds, transport stats) are identical either way;
-	// the knob exists for A/B measurement and debugging.
-	Sequential bool
 	// Workers caps the scheduler's worker goroutines per phase
-	// (0 = GOMAXPROCS). Ignored when Sequential is set.
+	// (0 = GOMAXPROCS). When the effective count is 1 — Workers: 1,
+	// GOMAXPROCS 1, or a single hosted node — nodes run one after another
+	// in the calling goroutine: the sequential schedule. Results
+	// (tables, rounds, transport stats) are identical for every value;
+	// the knob exists for A/B measurement and debugging.
 	Workers int
 	// Unbatched ships one signed envelope per exported tuple, as the seed
 	// implementation did, instead of one batched envelope per (src,dst)
@@ -117,12 +116,6 @@ type Config struct {
 	// link — every N scheduler rounds (0 = one key per link for the whole
 	// run). Only meaningful with SessionAuth.
 	RekeyRounds int
-	// PipelinedCrypto moves sealing and verification into a dedicated
-	// crypto worker stage that overlaps rule evaluation, instead of
-	// running them inline in the export/import phases. Results are
-	// bit-identical either way (see TestTransportSchedulesMatch); the
-	// knob exists for A/B measurement.
-	PipelinedCrypto bool
 	// EngineShards shards each node's delta queue for intra-node
 	// parallelism: every engine partitions its evaluation waves by hash
 	// of (predicate, join-key columns) across this many read-only eval
@@ -130,9 +123,8 @@ type Config struct {
 	// deterministic ordered-commit stage (0 or 1 = serial). Results —
 	// tables, aggregates, provenance, export order, stats — are
 	// bit-identical for every value (see TestShardedMatchesSerial). It
-	// composes with the node-level scheduler knobs: Workers parallelizes
-	// across nodes, EngineShards inside each node's fixpoint, and
-	// PipelinedCrypto overlaps crypto with both.
+	// composes with the node-level Workers knob: Workers parallelizes
+	// across nodes, EngineShards inside each node's fixpoint.
 	EngineShards int
 
 	// Transport overrides the message substrate (nil = a fresh in-memory
@@ -173,7 +165,7 @@ type Config struct {
 	// imported tuple with its provenance polynomial; rejected tuples are
 	// dropped and counted (Orchestra-style trust gating, §3). The parallel
 	// scheduler calls it concurrently from the import workers of different
-	// nodes, so stateful filters must synchronize (or set Sequential).
+	// nodes, so stateful filters must synchronize (or set Workers: 1).
 	ImportFilter func(self string, t data.Tuple, p semiring.Poly) bool
 
 	// Metrics, when set, receives runtime observability: scheduler,
@@ -553,19 +545,14 @@ func (n *Network) sealStore() error {
 	if n.store == nil {
 		return nil
 	}
-	var start time.Time
-	if n.nm != nil {
-		start = time.Now() //provlint:allow detpath metrics flush timing, outside the deterministic state
-	}
+	start := n.nm.now()
 	if err := n.store.Seal(); err != nil {
 		n.storeErr.CompareAndSwap(nil, &err)
 	}
 	if err := n.store.Flush(); err != nil {
 		n.storeErr.CompareAndSwap(nil, &err)
 	}
-	if n.nm != nil {
-		n.nm.flushSec.Observe(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics flush timing, outside the deterministic state
-	}
+	n.nm.flushDone(start)
 	return n.StoreErr()
 }
 
@@ -649,8 +636,8 @@ type Report struct {
 // Each round has two phases separated by a barrier: every node runs to
 // its local fixpoint and ships its exports, then every node imports the
 // messages queued for it. By default both phases run all nodes
-// concurrently on a worker pool; cfg.Sequential runs them one after
-// another. The phase structure makes the two schedules produce identical
+// concurrently on a worker pool; Workers: 1 runs them one after another.
+// The phase structure makes the two schedules produce identical
 // tables, rounds, and transport stats: within a phase nodes touch only
 // their own engine plus the concurrency-safe fabric, and the fabric
 // drains in deterministic order regardless of goroutine interleaving.
@@ -658,35 +645,34 @@ func (n *Network) Run(maxRounds int) (*Report, error) {
 	return n.Driver().run(context.Background(), maxRounds)
 }
 
-// runRound executes one export phase and one import phase, reporting
-// whether any node made progress. With PipelinedCrypto the sealing and
-// verification halves of each phase run on a dedicated crypto stage
-// overlapping rule evaluation; results are bit-identical either way.
-// ctx is honored mid-round: both phases abort between node tasks when it
-// is cancelled.
-func (n *Network) runRound(ctx context.Context) (bool, error) {
-	if n.nm == nil {
-		return n.runRoundInner(ctx)
+// round executes one scheduler round and reports whether any node made
+// progress. Its stages run as two forEachNode passes separated by a
+// barrier: every node evaluates to its local fixpoint, builds its frames
+// (queued withdrawals first, so receivers withdraw before they integrate
+// new state, then data), and seals and ships them; then every node
+// drains its inbox, decodes and verifies each datagram, and delivers the
+// survivors to its engine. A withdrawal-only round (evaluate false, see
+// drainRetractions) is the same body with evaluation skipped: queued
+// retract frames ship and inboxes drain (withdrawals apply their
+// over-delete phase; in-flight data still lands), but repair and
+// re-propagation wait for the wave to quiesce. ctx is honored
+// mid-round: both passes abort between node tasks when it is cancelled.
+func (n *Network) round(ctx context.Context, evaluate bool) (bool, error) {
+	kind := "round"
+	if !evaluate {
+		kind = "retract"
 	}
-	start := time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
+	start := n.nm.now()
 	n.nm.roundStart()
-	progress, err := n.runRoundInner(ctx)
-	if err == nil {
-		n.nm.roundEnd(n, "round", start)
-	}
-	return progress, err
-}
-
-func (n *Network) runRoundInner(ctx context.Context) (bool, error) {
 	if n.session != nil {
 		n.session.BeginRound()
 	}
-	if n.cfg.PipelinedCrypto {
-		return n.runRoundPipelined(ctx)
-	}
 	exported, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
 		retracts := node.takeRetracts()
-		exports := node.Engine.RunToFixpoint()
+		var exports []engine.Export
+		if evaluate {
+			exports = node.Engine.RunToFixpoint()
+		}
 		if len(retracts) == 0 && len(exports) == 0 {
 			return false, nil
 		}
@@ -703,18 +689,9 @@ func (n *Network) runRoundInner(ctx context.Context) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	imported, err := n.importPhase(ctx)
-	if err != nil {
-		return false, err
-	}
-	return exported || imported, nil
-}
-
-// importPhase drains and applies every node's inbox: the second half of
-// a scheduler round, shared with the retraction-drain rounds.
-func (n *Network) importPhase(ctx context.Context) (bool, error) {
-	return n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
+	imported, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
 		msgs := n.net.Drain(name)
+		verifyStart := n.nm.now()
 		var ds []*delivery
 		for _, msg := range msgs {
 			d, err := n.decodeVerify(name, msg)
@@ -725,11 +702,27 @@ func (n *Network) importPhase(ctx context.Context) (bool, error) {
 				ds = append(ds, d)
 			}
 		}
+		n.nm.verifyDone(verifyStart, len(msgs))
 		if err := n.deliverAll(name, node, ds); err != nil {
 			return false, err
 		}
 		return len(msgs) > 0, nil
 	})
+	if err != nil {
+		return false, err
+	}
+	n.nm.roundEnd(n, kind, start)
+	return exported || imported, nil
+}
+
+// retractsQueued reports whether any node holds unshipped withdrawals.
+func (n *Network) retractsQueued() bool {
+	for _, name := range n.order {
+		if len(n.nodes[name].pendingRetract) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // retractionInFlight reports whether any node holds unshipped
@@ -761,18 +754,8 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 	n.draining = true
 	defer func() { n.draining = false }()
 	for {
-		for {
-			queued := false
-			for _, name := range n.order {
-				if len(n.nodes[name].pendingRetract) > 0 {
-					queued = true
-					break
-				}
-			}
-			if !queued {
-				break
-			}
-			if err := n.runRetractRound(ctx); err != nil {
+		for n.retractsQueued() {
+			if _, err := n.round(ctx, false); err != nil {
 				return rounds, err
 			}
 			rounds++
@@ -787,211 +770,28 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 		if err != nil {
 			return rounds, err
 		}
-		if !completed {
-			return rounds, nil
-		}
-		again := false
-		for _, name := range n.order {
-			if len(n.nodes[name].pendingRetract) > 0 {
-				again = true
-				break
-			}
-		}
-		if !again {
+		if !completed || !n.retractsQueued() {
 			return rounds, nil
 		}
 	}
 }
 
-// runRetractRound runs one withdrawal-only round: queued retract frames
-// ship, inboxes drain (withdrawals apply their over-delete phase; any
-// in-flight data still lands), but no node evaluates — repair and
-// re-propagation wait for the wave to quiesce.
-func (n *Network) runRetractRound(ctx context.Context) error {
-	if n.nm == nil {
-		return n.runRetractRoundInner(ctx)
-	}
-	start := time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
-	n.nm.roundStart()
-	err := n.runRetractRoundInner(ctx)
-	if err == nil {
-		n.nm.roundEnd(n, "retract", start)
-	}
-	return err
-}
-
-func (n *Network) runRetractRoundInner(ctx context.Context) error {
-	if n.session != nil {
-		n.session.BeginRound()
-	}
-	_, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-		retracts := node.takeRetracts()
-		if len(retracts) == 0 {
-			return false, nil
-		}
-		frames, err := n.buildRetractFrames(name, retracts)
-		if err != nil {
-			return false, err
-		}
-		return true, n.sealAndSend(name, frames)
-	})
-	if err != nil {
-		return err
-	}
-	_, err = n.importPhase(ctx)
-	return err
-}
-
-// cryptoWorkers sizes the pipelined crypto stage's worker pool.
-func (n *Network) cryptoWorkers() int {
-	w := n.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(n.order) {
-		w = len(n.order)
-	}
-	return w
-}
-
-// runRoundPipelined runs one round with sealing and verification off the
-// evaluation path. The export phase is a two-stage pipeline: evaluation
-// workers run nodes to their local fixpoints and hand prepared frames to
-// crypto workers, which seal and ship them while other nodes are still
-// evaluating. The import phase mirrors it: crypto workers drain and
-// authenticate each node's inbox, handing verified deliveries to
-// insertion workers as they complete. Determinism is preserved because
-// each node's frames are sealed and sent by a single crypto task (the
-// fabric orders concurrent senders), and errors/progress are collected
-// per node and resolved in scheduler order.
-func (n *Network) runRoundPipelined(ctx context.Context) (bool, error) {
-	// Export: evaluation stage → sealing stage.
-	type sealJob struct {
-		idx    int
-		name   string
-		frames []outFrame
-	}
-	jobs := make(chan sealJob, len(n.order))
-	sealErrs := make([]error, len(n.order))
-	var sealWG sync.WaitGroup
-	for w := 0; w < n.cryptoWorkers(); w++ {
-		sealWG.Add(1)
-		go func() {
-			defer sealWG.Done()
-			for j := range jobs {
-				sealErrs[j.idx] = n.sealAndSend(j.name, j.frames)
-			}
-		}()
-	}
-	exported, evalErr := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-		retracts := node.takeRetracts()
-		exports := node.Engine.RunToFixpoint()
-		if len(retracts) == 0 && len(exports) == 0 {
-			return false, nil
-		}
-		frames, err := n.buildRetractFrames(name, retracts)
-		if err != nil {
-			return false, err
-		}
-		dataFrames, err := n.buildExportFrames(name, exports)
-		if err != nil {
-			return false, err
-		}
-		jobs <- sealJob{idx: n.idx[name], name: name, frames: append(frames, dataFrames...)}
-		return true, nil
-	})
-	close(jobs)
-	sealWG.Wait()
-	if evalErr != nil {
-		return false, evalErr
-	}
-	for i := range n.order {
-		if sealErrs[i] != nil {
-			return false, sealErrs[i]
-		}
-	}
-
-	// Import: verification stage → insertion stage.
-	type insertJob struct {
-		idx        int
-		name       string
-		deliveries []*delivery
-	}
-	inserts := make(chan insertJob, len(n.order))
-	verifyErrs := make([]error, len(n.order))
-	insertErrs := make([]error, len(n.order))
-	imported := make([]bool, len(n.order))
-	var verifyWG, insertWG sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < n.cryptoWorkers(); w++ {
-		verifyWG.Add(1)
-		go func() {
-			defer verifyWG.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(n.order) || ctx.Err() != nil {
-					return
-				}
-				name := n.order[i]
-				msgs := n.net.Drain(name)
-				imported[i] = len(msgs) > 0
-				var ds []*delivery
-				for _, msg := range msgs {
-					d, err := n.decodeVerify(name, msg)
-					if err != nil {
-						verifyErrs[i] = err
-						ds = nil
-						break
-					}
-					if d != nil {
-						ds = append(ds, d)
-					}
-				}
-				if len(ds) > 0 {
-					inserts <- insertJob{idx: i, name: name, deliveries: ds}
-				}
-			}
-		}()
-	}
-	insertWorkers := n.cryptoWorkers()
-	if n.cfg.Sequential {
-		insertWorkers = 1
-	}
-	for w := 0; w < insertWorkers; w++ {
-		insertWG.Add(1)
-		go func() {
-			defer insertWG.Done()
-			for j := range inserts {
-				insertErrs[j.idx] = n.deliverAll(j.name, n.nodes[j.name], j.deliveries)
-			}
-		}()
-	}
-	verifyWG.Wait()
-	close(inserts)
-	insertWG.Wait()
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	progress := exported
-	for i := range n.order {
-		if verifyErrs[i] != nil {
-			return false, verifyErrs[i]
-		}
-		if insertErrs[i] != nil {
-			return false, insertErrs[i]
-		}
-		progress = progress || imported[i]
-	}
-	return progress, nil
-}
-
-// forEachNode applies f to every node, sequentially or on a worker pool
-// per the configuration. It returns the OR of the progress flags and the
-// first error in scheduler (node registration) order. A cancelled ctx
-// aborts between node tasks (the mid-round cancellation point of the
-// lifecycle API) and reports the context's error.
+// forEachNode applies f to every node on a pool of Config.Workers
+// goroutines, or one after another in the calling goroutine when the
+// effective worker count is 1 (the sequential schedule). It returns the
+// OR of the progress flags and the first error in scheduler (node
+// registration) order. A cancelled ctx aborts between node tasks (the
+// mid-round cancellation point of the lifecycle API) and reports the
+// context's error.
 func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Node) (bool, error)) (bool, error) {
-	if n.cfg.Sequential || len(n.order) == 1 {
+	workers := n.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(n.order) {
+		workers = len(n.order)
+	}
+	if workers <= 1 {
 		progress := false
 		for _, name := range n.order {
 			if err := ctx.Err(); err != nil {
@@ -1004,13 +804,6 @@ func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Nod
 			progress = progress || p
 		}
 		return progress, nil
-	}
-	workers := n.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(n.order) {
-		workers = len(n.order)
 	}
 	prog := make([]bool, len(n.order))
 	errs := make([]error, len(n.order))
@@ -1049,7 +842,7 @@ func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Nod
 }
 
 // outFrame is one outbound datagram prepared by the evaluation stage and
-// sealed/shipped by the crypto stage. Exactly one of the frame kinds is
+// sealed and shipped by sealAndSend. Exactly one of the frame kinds is
 // set: a session handshake, a v1 envelope, a v2 batch, a v3 session data
 // or retract frame, or a v4 retract envelope.
 type outFrame struct {
@@ -1115,6 +908,9 @@ func (n *Network) buildRetractFrames(from string, ws []engine.Withdrawal) ([]out
 // also decides — and reserves — the handshake frames that must precede
 // the first data frame on a new or rekeyed link.
 func (n *Network) buildExportFrames(from string, exports []engine.Export) ([]outFrame, error) {
+	if len(exports) == 0 {
+		return nil, nil
+	}
 	node := n.nodes[from]
 	item := func(ex engine.Export) BatchItem {
 		it := BatchItem{Tuple: ex.Tuple, Prov: node.Tracker.Export(ex.Tuple, ex.Ann)}
@@ -1198,20 +994,10 @@ func (n *Network) buildExportFrames(from string, exports []engine.Export) ([]out
 // sealAndSend performs the cryptographic half of the export path: it
 // seals each prepared frame (handshake RSA, per-envelope signature, or
 // session MAC) and ships it. All of one sender's frames go through a
-// single call, preserving per-sender send order however the crypto stage
-// is scheduled.
+// single call, preserving per-sender send order.
 func (n *Network) sealAndSend(from string, frames []outFrame) error {
-	if n.nm == nil {
-		return n.sealAndSendInner(from, frames)
-	}
-	start := time.Now() //provlint:allow detpath metrics seal timing, outside the deterministic state
-	n.nm.deltasOut.Add(int64(len(frames)))
-	err := n.sealAndSendInner(from, frames)
-	n.nm.sealNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics seal timing, outside the deterministic state
-	return err
-}
-
-func (n *Network) sealAndSendInner(from string, frames []outFrame) error {
+	start := n.nm.now()
+	defer n.nm.sealDone(start, len(frames))
 	if len(frames) > 0 {
 		n.markActive(from)
 	}
@@ -1280,17 +1066,6 @@ type delivery struct {
 // delivery with nil error means the datagram was fully handled or
 // dropped.
 func (n *Network) decodeVerify(name string, msg netsim.Message) (*delivery, error) {
-	if n.nm == nil {
-		return n.decodeVerifyInner(name, msg)
-	}
-	start := time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
-	n.nm.deltasIn.Inc()
-	d, err := n.decodeVerifyInner(name, msg)
-	n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
-	return d, err
-}
-
-func (n *Network) decodeVerifyInner(name string, msg netsim.Message) (*delivery, error) {
 	p := msg.Payload
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty datagram", ErrBadEnvelope)

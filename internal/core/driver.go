@@ -276,7 +276,7 @@ func (d *Driver) step(ctx context.Context) (bool, error) {
 		}
 		mutated = true
 	}
-	progress, err := d.n.runRound(ctx)
+	progress, err := d.n.round(ctx, true)
 	if err != nil {
 		return false, err
 	}
@@ -358,7 +358,7 @@ func (d *Driver) epochReport() *Report {
 	d.mu.Unlock()
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
-	qstart := time.Now() //provlint:allow detpath metrics quiesce timing, outside the deterministic state
+	qstart := d.n.nm.now()
 	d.publishViewLocked()
 	_ = d.n.sealStore()
 	d.n.nm.observeQuiesce(d.n, qstart)
@@ -375,7 +375,7 @@ func (d *Driver) ReadView() *ReadView { return d.view.Load() }
 func (d *Driver) quiesce() error {
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
-	start := time.Now() //provlint:allow detpath metrics quiesce timing, outside the deterministic state
+	start := d.n.nm.now()
 	d.publishViewLocked()
 	err := d.n.sealStore()
 	d.n.nm.observeQuiesce(d.n, start)

@@ -141,6 +141,22 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 	return nm
 }
 
+// now starts a stage timing: the wall clock when metrics are on, the
+// zero time when off, so the disabled path never reads the clock. Every
+// metrics clock read goes through now and since, outside the
+// deterministic state.
+func (nm *netMetrics) now() time.Time {
+	if nm == nil {
+		return time.Time{}
+	}
+	return time.Now() //provlint:allow detpath metrics stage timing, outside the deterministic state
+}
+
+// since is the wall time in nanoseconds from a stage start.
+func since(start time.Time) int64 {
+	return time.Since(start).Nanoseconds() //provlint:allow detpath metrics stage timing, outside the deterministic state
+}
+
 // roundStart resets the per-round crypto accumulators. Called at the
 // top of each round under the run lock.
 func (nm *netMetrics) roundStart() {
@@ -151,6 +167,36 @@ func (nm *netMetrics) roundStart() {
 	nm.verifyNanos.Store(0)
 }
 
+// sealDone closes one sender's seal-and-send stage: it counts the
+// frames shipped and adds the stage's time to the round's seal total.
+// Workers call it concurrently.
+func (nm *netMetrics) sealDone(start time.Time, frames int) {
+	if nm == nil {
+		return
+	}
+	nm.deltasOut.Add(int64(frames))
+	nm.sealNanos.Add(since(start))
+}
+
+// verifyDone closes one node's decode-and-verify stage: it counts the
+// datagrams drained and adds the stage's time to the round's verify
+// total. Workers call it concurrently.
+func (nm *netMetrics) verifyDone(start time.Time, msgs int) {
+	if nm == nil {
+		return
+	}
+	nm.deltasIn.Add(int64(msgs))
+	nm.verifyNanos.Add(since(start))
+}
+
+// flushDone records one durable store seal+flush.
+func (nm *netMetrics) flushDone(start time.Time) {
+	if nm == nil {
+		return
+	}
+	nm.flushSec.Observe(since(start))
+}
+
 // roundEnd samples the engines, updates counters/histograms, and
 // appends one flight record. kind is "round" or "retract". Runs at
 // round granularity under the run lock: the map allocations in the
@@ -159,7 +205,7 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 	if nm == nil {
 		return
 	}
-	wall := time.Since(start).Nanoseconds() //provlint:allow detpath metrics round timing, outside the deterministic state
+	wall := since(start)
 	var sum engine.Stats
 	var evictions, depSize, shadowSize, arenaHW int64
 	for _, name := range n.order {
@@ -232,7 +278,7 @@ func (nm *netMetrics) observeQuiesce(n *Network, start time.Time) {
 	rec := obs.RoundRecord{
 		Kind:             "quiesce",
 		StartNs:          start.UnixNano(),
-		WallNs:           time.Since(start).Nanoseconds(), //provlint:allow detpath metrics quiesce timing, outside the deterministic state
+		WallNs:           since(start),
 		TransportPending: n.net.PendingCount(),
 	}
 	if sp, ok := n.store.(storePender); ok {

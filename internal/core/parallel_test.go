@@ -27,7 +27,8 @@ func snapshot(t *testing.T, n *Network) string {
 
 // TestParallelMatchesSequential asserts the tentpole invariant: the
 // parallel worker-pool scheduler produces exactly the same fixpoint
-// tables, round count, and transport stats as the sequential baseline,
+// tables, round count, and transport stats as the sequential baseline
+// (Workers: 1, nodes one after another in the calling goroutine),
 // across program/topology/wire-format variants. Run with -race this also
 // exercises the fabric and signer under concurrency.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -63,12 +64,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				seq := tc.cfg
-				seq.Sequential = true
+				seq.Workers = 1
 				seq.Unbatched = unbatched
 				nSeq, repSeq := mustRun(t, seq)
 
 				par := tc.cfg
-				par.Sequential = false
 				par.Workers = 4
 				par.Unbatched = unbatched
 				nPar, repPar := mustRun(t, par)

@@ -20,17 +20,17 @@ func bestPathCfg() Config {
 }
 
 // TestTransportSchedulesMatch pins the tentpole invariant across the
-// whole transport-security stack: the sequential per-tuple-RSA baseline,
-// the parallel session-MAC transport, and the pipelined-crypto schedule
-// all produce bit-identical fixpoint tables and round counts on the §6
-// Best-Path workload. (Bytes and signature counts legitimately differ
-// across wire formats; TestPipelinedMatchesInline pins those for
-// same-format pairs.)
+// whole transport-security stack: the sequential (Workers: 1)
+// per-tuple-RSA baseline, the parallel per-batch RSA transport, and the
+// parallel session-MAC transport all produce bit-identical fixpoint
+// tables and round counts on the §6 Best-Path workload. (Bytes and
+// signature counts legitimately differ across wire formats;
+// TestParallelMatchesSequential pins those for same-format pairs.)
 func TestTransportSchedulesMatch(t *testing.T) {
 	base := bestPathCfg()
 
 	seqRSA := base
-	seqRSA.Sequential = true
+	seqRSA.Workers = 1
 	seqRSA.Unbatched = true
 	nBase, repBase := mustRun(t, seqRSA)
 	want, wantRounds := snapshot(t, nBase), repBase.Rounds
@@ -42,18 +42,6 @@ func TestTransportSchedulesMatch(t *testing.T) {
 		{"parallel-rsa-batched", func(c *Config) {}},
 		{"parallel-session", func(c *Config) { c.SessionAuth = true }},
 		{"parallel-session-unbatched", func(c *Config) { c.SessionAuth = true; c.Unbatched = true }},
-		{"pipelined-rsa", func(c *Config) { c.PipelinedCrypto = true }},
-		{"pipelined-session", func(c *Config) { c.SessionAuth = true; c.PipelinedCrypto = true }},
-		{"sequential-pipelined-session", func(c *Config) {
-			c.Sequential = true
-			c.SessionAuth = true
-			c.PipelinedCrypto = true
-		}},
-		{"pipelined-session-rekey", func(c *Config) {
-			c.SessionAuth = true
-			c.PipelinedCrypto = true
-			c.RekeyRounds = 2
-		}},
 	}
 	for _, s := range schedules {
 		t.Run(s.name, func(t *testing.T) {
@@ -66,50 +54,6 @@ func TestTransportSchedulesMatch(t *testing.T) {
 			}
 			if rep.Rounds != wantRounds {
 				t.Errorf("rounds = %d, want %d", rep.Rounds, wantRounds)
-			}
-		})
-	}
-}
-
-// TestPipelinedMatchesInline pins full-stats equality for the
-// PipelinedCrypto knob: moving sealing/verification off the evaluation
-// path must not change tables, rounds, transport stats, or operation
-// counts — for both the per-envelope and the session transports.
-func TestPipelinedMatchesInline(t *testing.T) {
-	for _, session := range []bool{false, true} {
-		name := "rsa"
-		if session {
-			name = "session"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := bestPathCfg()
-			cfg.SessionAuth = session
-			cfg.RekeyRounds = 3
-			nIn, repIn := mustRun(t, cfg)
-
-			piped := cfg
-			piped.PipelinedCrypto = true
-			piped.Workers = 4
-			nPi, repPi := mustRun(t, piped)
-
-			if a, b := snapshot(t, nIn), snapshot(t, nPi); a != b {
-				t.Fatalf("tables differ\n--- inline ---\n%s--- pipelined ---\n%s", a, b)
-			}
-			if repIn.Rounds != repPi.Rounds {
-				t.Errorf("rounds: inline %d, pipelined %d", repIn.Rounds, repPi.Rounds)
-			}
-			sIn, sPi := nIn.Transport().Stats(), nPi.Transport().Stats()
-			if sIn != sPi {
-				t.Errorf("netsim stats: inline %+v, pipelined %+v", sIn, sPi)
-			}
-			if repIn.Signed != repPi.Signed || repIn.Verified != repPi.Verified ||
-				repIn.Handshakes != repPi.Handshakes ||
-				repIn.SealedMAC != repPi.SealedMAC || repIn.OpenedMAC != repPi.OpenedMAC {
-				t.Errorf("crypto ops: inline %+v, pipelined %+v", repIn, repPi)
-			}
-			if repIn.Derivations != repPi.Derivations || repIn.TuplesStored != repPi.TuplesStored {
-				t.Errorf("engine stats: inline %d/%d, pipelined %d/%d",
-					repIn.Derivations, repIn.TuplesStored, repPi.Derivations, repPi.TuplesStored)
 			}
 		})
 	}

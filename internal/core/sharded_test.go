@@ -124,12 +124,12 @@ func TestShardedMatchesSerial(t *testing.T) {
 			Graph:  topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 4}),
 			Auth:   auth.SchemeRSA,
 		}},
-		{"bestpath-session-pipelined-condensed", Config{
+		{"bestpath-session-condensed", Config{
 			Source:      BestPath,
 			Graph:       topo.RandomConnected(topo.Options{N: 10, AvgOutDegree: 3, MaxCost: 10, Seed: 7}),
 			Auth:        auth.SchemeRSA,
-			SessionAuth: true, PipelinedCrypto: true,
-			Prov: provenance.ModeCondensed,
+			SessionAuth: true,
+			Prov:        provenance.ModeCondensed,
 		}},
 		{"distance-vector-local-prov", Config{
 			Source: DistanceVector,

@@ -10,7 +10,7 @@
 // Faults are decided per outbound frame at SendTagged time, in frame
 // order, from one seeded RNG — the schedule is a pure function of the
 // seed and the operation sequence, so a failing run replays from its
-// seed (drive the scheduler with -sequential for a strictly
+// seed (drive the scheduler with -workers 1 for a strictly
 // reproducible operation order).
 //
 //   - drop: the frame is silently discarded above the transport. This

@@ -14,8 +14,8 @@ import (
 // parallel ≡ sequential ≡ sharded ≡ TCP, and storelog recovery ≡ the
 // live run — only holds if every input reaches the engine through the
 // explicit event stream. Timing for metrics is legitimate and lives
-// behind per-site annotations (the scheduler's instrumented wrappers,
-// the driver's epoch clock).
+// behind per-site annotations (core's metrics stage clock, the driver's
+// epoch clock).
 var DetPath = &Analyzer{
 	Name: "detpath",
 	Doc:  "wall clock, randomness, or map formatting in the deterministic core",

@@ -74,10 +74,8 @@ func WithLevels(levels map[string]int64) Option {
 // WithSeed drives deterministic key generation.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithSequential runs nodes one after another within each round.
-func WithSequential() Option { return func(c *Config) { c.Sequential = true } }
-
-// WithWorkers caps the scheduler's worker goroutines per phase.
+// WithWorkers caps the scheduler's worker goroutines per phase;
+// WithWorkers(1) runs nodes one after another within each round.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithUnbatched ships one signed envelope per exported tuple.
@@ -89,9 +87,6 @@ func WithSessionAuth() Option { return func(c *Config) { c.SessionAuth = true } 
 
 // WithRekeyRounds rotates session keys every n scheduler rounds.
 func WithRekeyRounds(n int) Option { return func(c *Config) { c.RekeyRounds = n } }
-
-// WithPipelinedCrypto overlaps sealing/verification with evaluation.
-func WithPipelinedCrypto() Option { return func(c *Config) { c.PipelinedCrypto = true } }
 
 // WithShards shards each node's delta queue across n intra-node eval
 // workers (Config.EngineShards); results are bit-identical at any count.

@@ -19,7 +19,7 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 		Auth:         AuthNone,
 		Prov:         ProvDistributed,
 		Seed:         5,
-		Sequential:   true,
+		Workers:      1,
 		EngineShards: 2,
 	}
 	legacy, err := NewNetwork(cfg)
@@ -33,7 +33,7 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 		WithAuth(AuthNone),
 		WithProv(ProvDistributed),
 		WithSeed(5),
-		WithSequential(),
+		WithWorkers(1),
 		WithShards(2),
 		WithStore(store),
 	)
@@ -68,7 +68,7 @@ func TestOptionsCoverConfig(t *testing.T) {
 		WithAuthProv(), WithOffline(3.5), WithSampleEvery(2),
 		WithLevels(map[string]int64{"a": 2}), WithWorkers(3),
 		WithUnbatched(), WithSessionAuth(), WithRekeyRounds(7),
-		WithPipelinedCrypto(), WithAuth(AuthHMAC),
+		WithAuth(AuthHMAC),
 	} {
 		o(&c)
 	}
@@ -76,7 +76,7 @@ func TestOptionsCoverConfig(t *testing.T) {
 	case !c.LinkNoCost, len(c.ExtraNodes) != 1, c.KeyBits != 512,
 		!c.AuthProv, c.Offline == nil || *c.Offline != 3.5, c.SampleEvery != 2,
 		c.Levels["a"] != 2, c.Workers != 3, !c.Unbatched, !c.SessionAuth,
-		c.RekeyRounds != 7, !c.PipelinedCrypto, c.Auth != auth.SchemeHMAC:
+		c.RekeyRounds != 7, c.Auth != auth.SchemeHMAC:
 		t.Fatalf("option failed to set its field: %+v", c)
 	}
 }

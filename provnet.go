@@ -11,10 +11,11 @@
 // transport to session authentication: one RSA handshake per (src,dst)
 // link establishes a session key and every subsequent envelope is sealed
 // with a cheap per-link HMAC (rotating every Config.RekeyRounds rounds),
-// amortizing the hostile-world signature cost; Config.PipelinedCrypto
-// overlaps that sealing/verification work with rule evaluation, and
-// Config.EngineShards shards each node's delta queue across intra-node
-// eval workers (bit-identical results at any shard count). Running
+// amortizing the hostile-world signature cost. Config.Workers sets how
+// many nodes evaluate, seal, and verify at once (1 = one after another),
+// and Config.EngineShards shards each node's delta queue across
+// intra-node eval workers; results are bit-identical at any setting of
+// either. Running
 // the network executes the program as a distributed stream computation to
 // a fixpoint, after which results and provenance can be queried:
 //
